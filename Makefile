@@ -19,7 +19,7 @@ BENCH2JSON ?= BENCH_2.json
 # Fuzz budget per target; CI's fuzz smoke runs with FUZZTIME=10s.
 FUZZTIME ?= 30s
 
-.PHONY: all build test shuffle race lint fmt-check fuzz bench bench-scale trace-smoke conformance-smoke serve-smoke verify
+.PHONY: all build test shuffle race lint fmt-check fuzz bench bench-scale perfbench-check trace-smoke conformance-smoke serve-smoke verify
 
 # trace-smoke output names; CI uploads both as artifacts.
 TRACEJSON ?= run.trace.json
@@ -79,6 +79,13 @@ bench:
 bench-scale:
 	PASP_BENCH_SUITE=scale $(GO) test -run '^$$' -bench Scale -benchmem -benchtime $(BENCHTIME) . | \
 		PASP_BENCH_SUITE=scale $(GO) run ./cmd/pabench -o $(BENCH2JSON)
+
+# perfbench (the end-to-end benchmark, see BENCHMARK.json) is its own
+# module, so the root `go test ./...` never reaches its self-checks: the
+# output contract of every workload, the catalogue against BENCHMARK.json,
+# and the reference results. This target runs them.
+perfbench-check:
+	cd perfbench && GOWORK=off $(GO) test ./...
 
 # One observed FT run through the patrace exporter. patrace validates the
 # trace-event JSON against the schema and checks the per-phase energy

@@ -22,6 +22,9 @@ type SegModel struct {
 	loMHz, hiMHz float64
 	// terms[phase][n] = {A seconds, B seconds·MHz}.
 	terms map[string]map[int][2]float64
+	// phases lists the keys of terms sorted: the fixed order PredictTime
+	// sums in, so a prediction's bits do not depend on map iteration.
+	phases []string
 }
 
 // FitSeg identifies every phase's coefficients from its measured times at
@@ -74,18 +77,15 @@ func FitSeg(phaseTimes map[string]map[Config]float64, loMHz, hiMHz float64) (*Se
 			}
 			m.terms[phase][n] = [2]float64{a, b}
 		}
+		m.phases = append(m.phases, phase)
 	}
+	sort.Strings(m.phases)
 	return m, nil
 }
 
 // Phases returns the modelled phase names, sorted.
 func (m *SegModel) Phases() []string {
-	out := make([]string, 0, len(m.terms))
-	for p := range m.terms {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
+	return append([]string(nil), m.phases...)
 }
 
 // PredictPhase returns one phase's predicted time at a configuration.
@@ -109,10 +109,11 @@ func (m *SegModel) PredictPhase(phase string, n int, mhz float64) (float64, erro
 }
 
 // PredictTime returns the whole program's predicted time: the sum of its
-// segments (SPMD segments execute back to back on the critical path).
+// segments (SPMD segments execute back to back on the critical path),
+// summed in sorted phase order so repeated predictions are bit-identical.
 func (m *SegModel) PredictTime(n int, mhz float64) (float64, error) {
 	total := 0.0
-	for phase := range m.terms {
+	for _, phase := range m.phases {
 		t, err := m.PredictPhase(phase, n, mhz)
 		if err != nil {
 			return 0, err

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"pasp/internal/stats"
@@ -161,5 +163,54 @@ func TestSegCoefficients(t *testing.T) {
 	}
 	if _, _, err := m.Coefficients("comm", 64); err == nil {
 		t.Error("unfitted N accepted")
+	}
+}
+
+// TestSegPredictTimeDeterministic pins PredictTime's summation order. The
+// phases span sixteen orders of magnitude, so their float sum depends on the
+// order it is taken in; every freshly fitted model must still predict the
+// same bits, namely those of summing the phases in sorted order.
+func TestSegPredictTimeDeterministic(t *testing.T) {
+	pt := map[string]map[Config]float64{}
+	for i := 0; i < 16; i++ {
+		scale := math.Pow(10, float64(i%8*2-8)) * (1 + 0.1*float64(i))
+		times := map[Config]float64{}
+		for _, mhz := range []float64{600, 1400} {
+			times[Config{4, mhz}] = scale * (1 + 600/mhz)
+		}
+		pt[fmt.Sprintf("phase%02d", i)] = times
+	}
+	first, err := FitSeg(pt, 600, 1400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ph := first.Phases()
+	sorted, reversed := 0.0, 0.0
+	for i := range ph {
+		a, err := first.PredictPhase(ph[i], 4, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := first.PredictPhase(ph[len(ph)-1-i], 4, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sorted, reversed = sorted+a, reversed+b
+	}
+	if sorted == reversed {
+		t.Fatalf("phase times are not order-sensitive: %.17g both ways", sorted)
+	}
+	for k := 0; k < 50; k++ {
+		m, err := FitSeg(pt, 600, 1400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.PredictTime(4, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(sorted) {
+			t.Fatalf("fit %d: PredictTime = %.17g, want the sorted-order sum %.17g", k, got, sorted)
+		}
 	}
 }

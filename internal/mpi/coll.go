@@ -15,6 +15,7 @@ const (
 	Sum Op = iota
 	// Max takes the elementwise maximum.
 	Max
+	noReduce Op = -1 // the op of a collective that combines nothing
 )
 
 // log2ceil returns ⌈log₂ n⌉ for n ≥ 1.
@@ -27,11 +28,13 @@ func log2ceil(n int) int {
 }
 
 // collective synchronizes all ranks, then advances every clock to
-// max(entry clocks) + cost. It returns the snapshot so callers can combine
-// payloads. Payloads must be private to the snapshot (copied by the
-// caller, via snapshotPayload so the copies draw on the rank's buffer
-// cache). All collectives are modelled as synchronizing, which matches the
-// dense patterns the NAS kernels use (alltoall, allreduce, barrier).
+// max(entry clocks) + cost. It returns the snapshot so callers can read
+// payloads and, when op ≠ noReduce, the epoch's reduced vector; deposits
+// that cannot be combined fail the call on every rank. Payloads must be
+// private to the snapshot (copied by the caller, via snapshotPayload so the
+// copies draw on the rank's buffer cache). All collectives are modelled as
+// synchronizing, which matches the dense patterns the NAS kernels use
+// (alltoall, allreduce, barrier).
 //
 // recycle marks a deposit whose snapshot references cannot outlive the
 // epoch: every reader copies or combines it before its own collective call
@@ -42,27 +45,22 @@ func log2ceil(n int) int {
 // reading epoch k, so the parked buffers provably have no readers left.
 // Gather and Scatter hand deposit slices to their callers and must pass
 // recycle = false.
-func (c *Ctx) collective(payload any, cost float64, recycle bool) (*collSnapshot, error) {
+func (c *Ctx) collective(payload any, op Op, cost float64, recycle bool) (*collSnapshot, error) {
 	var snap *collSnapshot
 	var err error
 	if c.ev != nil {
-		snap, err = c.ev.eng.deposit(c, payload)
+		snap, err = c.ev.eng.deposit(c, payload, op)
 	} else {
-		snap, err = c.rt.sync(c.rank, c.clock, payload)
+		snap, err = c.rt.sync(c.rank, c.clock, payload, op)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if c.collFree != nil {
-		c.Free(c.collFree)
-		c.collFree = nil
+	c.Free(c.collFree)
+	for _, p := range c.collFreeParts {
+		c.Free(p)
 	}
-	if c.collFreeParts != nil {
-		for _, p := range c.collFreeParts {
-			c.Free(p)
-		}
-		c.collFreeParts = nil
-	}
+	c.collFree, c.collFreeParts = nil, nil
 	if recycle {
 		switch p := payload.(type) {
 		case []float64:
@@ -71,13 +69,7 @@ func (c *Ctx) collective(payload any, cost float64, recycle bool) (*collSnapshot
 			c.collFreeParts = p
 		}
 	}
-	start := 0.0
-	for _, t := range snap.clocks {
-		if t > start {
-			start = t
-		}
-	}
-	if err := c.advanceComm(start + cost); err != nil {
+	if err := c.advanceComm(snap.start + cost); err != nil {
 		return nil, err
 	}
 	// Each rank draws its own collective perturbation, so jitter desyncs
@@ -108,7 +100,7 @@ func (c *Ctx) Barrier() error {
 	rounds := log2ceil(n)
 	c.noteMsgs(rounds, 0)
 	cost := float64(rounds) * (2*c.cpuOverhead(0) + net.LatencySec)
-	_, err := c.collective(nil, cost, false)
+	_, err := c.collective(nil, noReduce, cost, false)
 	return err
 }
 
@@ -142,7 +134,7 @@ func (c *Ctx) Bcast(root int, data []float64, vbytes int) ([]float64, error) {
 	c.noteMsgs(1, b) // binomial tree: each rank forwards at most once per round; one send on average
 	rounds := float64(log2ceil(n))
 	cost := rounds * (2*c.cpuOverhead(b) + net.LatencySec + net.ContendedWireTime(b, n/2))
-	snap, err := c.collective(c.snapshotPayload(data), cost, true)
+	snap, err := c.collective(c.snapshotPayload(data), noReduce, cost, true)
 	if err != nil {
 		return nil, err
 	}
@@ -155,21 +147,28 @@ func (c *Ctx) Bcast(root int, data []float64, vbytes int) ([]float64, error) {
 	return c.snapshotPayload(got), nil
 }
 
-// reduceAll combines the deposited vectors in rank order (deterministic
-// floating-point result) and returns a fresh slice.
-func reduceAll(snap *collSnapshot, op Op) ([]float64, error) {
-	var out []float64
-	for rank, p := range snap.payloads {
+// reduceInto combines the deposited vectors with the epoch's op in rank
+// order (deterministic floating-point result) into out, reusing its
+// capacity. Every rank must pass rank 0's op; noReduce combines nothing.
+func reduceInto(out []float64, payloads []any, ops []Op) ([]float64, error) {
+	op := ops[0]
+	for rank, p := range payloads {
+		if ops[rank] != op {
+			return out, fmt.Errorf("mpi: collective mismatch: rank %d passed reduce op %d, rank 0 passed %d", rank, ops[rank], op)
+		}
+		if op == noReduce {
+			continue
+		}
 		v, ok := p.([]float64)
 		if !ok {
-			return nil, fmt.Errorf("mpi: reduce payload from rank %d is %T, want []float64", rank, p)
+			return out, fmt.Errorf("mpi: reduce payload from rank %d is %T, want []float64", rank, p)
 		}
-		if out == nil {
-			out = append([]float64(nil), v...)
+		if rank == 0 {
+			out = append(out[:0], v...)
 			continue
 		}
 		if len(v) != len(out) {
-			return nil, fmt.Errorf("mpi: reduce length mismatch: rank %d has %d elements, rank 0 has %d", rank, len(v), len(out))
+			return out, fmt.Errorf("mpi: reduce length mismatch: rank %d has %d elements, rank 0 has %d", rank, len(v), len(out))
 		}
 		switch op {
 		case Sum:
@@ -181,7 +180,7 @@ func reduceAll(snap *collSnapshot, op Op) ([]float64, error) {
 				out[i] = math.Max(out[i], v[i])
 			}
 		default:
-			return nil, fmt.Errorf("mpi: unknown reduce op %d", op)
+			return out, fmt.Errorf("mpi: unknown reduce op %d", op)
 		}
 	}
 	return out, nil
@@ -209,11 +208,12 @@ func (c *Ctx) Allreduce(data []float64, op Op, vbytes int) ([]float64, error) {
 	if c.Size() == 1 {
 		return append([]float64(nil), data...), nil
 	}
-	snap, err := c.collective(c.snapshotPayload(data), c.reduceCost(collBytes(data, vbytes)), true)
+	snap, err := c.collective(c.snapshotPayload(data), op, c.reduceCost(collBytes(data, vbytes)), true)
 	if err != nil {
 		return nil, err
 	}
-	return reduceAll(snap, op)
+	// A private copy: snap.reduced is shared and reused two epochs on.
+	return append([]float64(nil), snap.reduced...), nil
 }
 
 // Reduce combines every rank's vector with op; only root receives the
@@ -230,14 +230,11 @@ func (c *Ctx) Reduce(root int, data []float64, op Op, vbytes int) ([]float64, er
 	if n == 1 {
 		return append([]float64(nil), data...), nil
 	}
-	snap, err := c.collective(c.snapshotPayload(data), c.reduceCost(collBytes(data, vbytes)), true)
-	if err != nil {
+	snap, err := c.collective(c.snapshotPayload(data), op, c.reduceCost(collBytes(data, vbytes)), true)
+	if err != nil || c.rank != root {
 		return nil, err
 	}
-	if c.rank != root {
-		return nil, nil
-	}
-	return reduceAll(snap, op)
+	return append([]float64(nil), snap.reduced...), nil
 }
 
 // Alltoall performs the personalized all-to-all exchange at the heart of
@@ -287,7 +284,7 @@ func (c *Ctx) Alltoall(parts [][]float64, vbytesPerPair int) ([][]float64, error
 	for d := range parts {
 		deposit[d] = c.snapshotPayload(parts[d])
 	}
-	snap, err := c.collective(deposit, cost, true)
+	snap, err := c.collective(deposit, noReduce, cost, true)
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +319,7 @@ func (c *Ctx) Allgather(data []float64, vbytes int) ([][]float64, error) {
 	net := &c.rt.w.Net
 	perRound := 2*c.cpuOverhead(b) + net.LatencySec + net.ContendedWireTime(b, n)
 	cost := float64(n-1) * perRound
-	snap, err := c.collective(c.snapshotPayload(data), cost, true)
+	snap, err := c.collective(c.snapshotPayload(data), noReduce, cost, true)
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +357,7 @@ func (c *Ctx) Gather(root int, data []float64, vbytes int) ([][]float64, error) 
 	cost := rounds*(2*c.cpuOverhead(b)+net.LatencySec) + net.WireTime(b*(n-1))
 	// recycle = false: root hands the deposit slices themselves to its
 	// caller, so they escape the epoch and can never be reclaimed.
-	snap, err := c.collective(c.snapshotPayload(data), cost, false)
+	snap, err := c.collective(c.snapshotPayload(data), noReduce, cost, false)
 	if err != nil {
 		return nil, err
 	}
@@ -424,7 +421,7 @@ func (c *Ctx) Scatter(root int, parts [][]float64, vbytesPerPart int) ([]float64
 	cost := rounds*(2*c.cpuOverhead(b)+net.LatencySec) + net.WireTime(b*(n-1))
 	// recycle = false: every rank keeps its slice of root's deposit, so
 	// the parts escape the epoch and can never be reclaimed.
-	snap, err := c.collective(deposit, cost, false)
+	snap, err := c.collective(deposit, noReduce, cost, false)
 	if err != nil {
 		return nil, err
 	}

@@ -123,10 +123,10 @@ func (c *Ctx) cpuOverhead(bytes int) float64 {
 }
 
 // maxCachedBuffers bounds the per-rank buffer cache so a kernel that frees
-// many odd-sized buffers cannot pin unbounded memory. Sized to cover an
-// Alltoall epoch at the platform's 16 ranks: n deposit parts plus n output
-// copies cycle through the cache in alternation, so 2×16 keeps the transpose
-// allocation-free in steady state.
+// many odd-sized buffers cannot pin unbounded memory. An Alltoall cycles n
+// deposit parts and n output copies through the cache, so 2×16 keeps the
+// transpose allocation-free only up to the platform's 16 ranks; past that
+// it allocates (FT's 256-rank scale cell: ~956k allocs per sweep).
 const maxCachedBuffers = 32
 
 // Free returns a payload buffer to the rank's buffer cache for reuse by a

@@ -372,44 +372,32 @@ func (e *evEngine) completeRendezvous(src int, doneAt float64) {
 	e.makeRunnable(src)
 }
 
-// deposit is the event engine's collective epoch: the runtime's shared
-// clock/payload arrays are safe to touch without the mutex because only the
-// token holder runs. The last arrival publishes the rotating snapshot
-// (same two-container argument as runtime.sync) and wakes every parked
-// participant; earlier arrivals park until then.
+// deposit is the event engine's collective epoch: runtime.arrive needs no
+// mutex because only the token holder runs. The closing arrival wakes every
+// parked participant; earlier arrivals park until then. All of them return
+// the epoch's snapshot and error.
 //
 //palint:hotpath
-func (e *evEngine) deposit(c *Ctx, payload any) (*collSnapshot, error) {
-	rt := c.rt
-	rt.clocks[c.rank] = c.clock
-	rt.payloads[c.rank] = payload
-	rt.arrived++
-	if rt.arrived == rt.w.N {
-		snap := &rt.snaps[rt.epoch&1]
-		rt.epoch++
-		copy(snap.clocks, rt.clocks)
-		copy(snap.payloads, rt.payloads)
-		rt.snapshot = snap
-		rt.arrived = 0
+func (e *evEngine) deposit(c *Ctx, payload any, op Op) (*collSnapshot, error) {
+	snap, closed := c.rt.arrive(c.rank, c.clock, payload, op)
+	if closed {
 		for i := range e.rank {
 			if r := &e.rank[i]; r.inSync {
 				r.inSync = false
 				e.makeRunnable(i)
 			}
 		}
-		return snap, nil
+		return snap, snap.err
 	}
 	r := c.ev
 	r.inSync = true
 	for r.inSync {
-		if err := e.park(c); err != nil {
+		if err := e.park(c); err != nil && r.inSync { // a closed epoch outranks a later abort
 			r.inSync = false
 			return nil, err
 		}
 	}
-	// A later epoch cannot have overwritten the snapshot pointer: it would
-	// need all N deposits, and this rank has not deposited again.
-	return rt.snapshot, nil
+	return snap, snap.err
 }
 
 // runEvent executes fn on every rank under the event engine. The rank

@@ -261,14 +261,12 @@ type runtime struct {
 	w     World
 	boxes []atomic.Pointer[mailbox] // n×n mailboxes, indexed src*n+dst
 
-	mu       sync.Mutex
-	clocks   []float64
-	payloads []any
-	arrived  int
-	release  chan struct{}
-	snapshot *collSnapshot
-	snaps    [2]collSnapshot // rotating epoch containers, see sync
-	epoch    int
+	mu      sync.Mutex
+	start   float64 // running max of the open epoch's entry clocks
+	arrived int
+	release chan struct{}
+	snaps   [2]collSnapshot // rotating epoch containers, see arrive
+	epoch   int
 
 	abortOnce sync.Once
 	abort     chan struct{}
@@ -284,19 +282,22 @@ type mailbox struct{ ch chan message }
 // fills.
 const mailboxDepth = 1024
 
-// collSnapshot is the outcome of one collective synchronization epoch.
+// collSnapshot is one collective epoch: each rank's deposit and op, then
+// the max entry clock and, for a reduction, the rank-order combination (or
+// the error every rank returns), filled in once by the closing arrival.
 type collSnapshot struct {
-	clocks   []float64
 	payloads []any
+	ops      []Op
+	start    float64
+	reduced  []float64
+	err      error
 }
 
 func newRuntime(w World) *runtime {
 	n := w.N
 	r := &runtime{
-		w:        w,
-		clocks:   make([]float64, n),
-		payloads: make([]any, n),
-		abort:    make(chan struct{}),
+		w:     w,
+		abort: make(chan struct{}),
 	}
 	// The event engine replaces the n² channel mailboxes with lazily created
 	// ring buffers (engine.go) and the release broadcast with token wake-ups,
@@ -307,10 +308,7 @@ func newRuntime(w World) *runtime {
 		r.release = make(chan struct{})
 	}
 	for i := range r.snaps {
-		r.snaps[i] = collSnapshot{
-			clocks:   make([]float64, n),
-			payloads: make([]any, n),
-		}
+		r.snaps[i] = collSnapshot{payloads: make([]any, n), ops: make([]Op, n)}
 	}
 	return r
 }
@@ -337,42 +335,57 @@ func (r *runtime) doAbort() {
 	r.abortOnce.Do(func() { close(r.abort) })
 }
 
-// sync blocks until all n ranks have deposited (clock, payload) and returns
-// the epoch's snapshot. The snapshot's contents depend only on the deposits,
-// so every collective is deterministic.
-func (r *runtime) sync(rank int, clock float64, payload any) (*collSnapshot, error) {
+// arrive deposits one rank's entry into the open epoch's container and
+// returns it; closed marks the last of the N arrivals, which computes the
+// shared results once: the max entry clock (a running max, the same value in
+// any arrival order) and the rank-order reduction (the bits each rank got
+// combining the payloads itself). Callers serialize arrive: sync holds mu,
+// the event engine its token.
+//
+// Container k is reused at epoch k+2, reduced buffer included: a deposit for
+// epoch k+2 follows the close of k+1, which needed every rank's deposit for
+// k+1, made only after it had read epoch k. Readers copy reduced before
+// returning; deposited payloads are never recycled here.
+func (r *runtime) arrive(rank int, clock float64, payload any, op Op) (snap *collSnapshot, closed bool) {
+	snap = &r.snaps[r.epoch&1]
+	snap.payloads[rank], snap.ops[rank] = payload, op
+	if clock > r.start {
+		r.start = clock
+	}
+	if r.arrived++; r.arrived < r.w.N {
+		return snap, false
+	}
+	r.epoch++
+	snap.start = r.start
+	snap.reduced, snap.err = reduceInto(snap.reduced[:0], snap.payloads, snap.ops) //palint:ignore hotalloc -- the container's reduced buffer grows to the largest vector once and is then refilled in place; errors allocate only on mismatched deposits, which end the job
+	r.arrived, r.start = 0, 0
+	return snap, true
+}
+
+// sync blocks until all n ranks have deposited and returns the epoch's
+// snapshot and error, filled in under mu before close(rel) publishes them.
+// They depend only on the deposits, so every collective is deterministic.
+func (r *runtime) sync(rank int, clock float64, payload any, op Op) (*collSnapshot, error) {
 	r.mu.Lock()
-	r.clocks[rank] = clock
-	r.payloads[rank] = payload
-	r.arrived++
-	if r.arrived == r.w.N {
-		// Rotate between two preallocated snapshot containers instead of
-		// allocating one per epoch. Reusing container k at epoch k+2 is safe:
-		// a rank deposits for epoch k+2 only after it finished reading epoch
-		// k+1's snapshot, which it read only after epoch k completed — so no
-		// reader of container k remains by the time it is overwritten. The
-		// deposited payload values themselves are never recycled; collectives
-		// hand them to callers.
-		snap := &r.snaps[r.epoch&1]
-		r.epoch++
-		copy(snap.clocks, r.clocks)
-		copy(snap.payloads, r.payloads)
-		r.snapshot = snap
-		r.arrived = 0
-		rel := r.release
+	snap, closed := r.arrive(rank, clock, payload, op)
+	rel := r.release
+	if closed {
 		r.release = make(chan struct{})
 		r.mu.Unlock()
 		close(rel)
-		return snap, nil
+		return snap, snap.err
 	}
-	rel := r.release
 	r.mu.Unlock()
 	select {
 	case <-rel:
-		return r.snapshot, nil
 	case <-r.abort:
-		return nil, ErrAborted
+		select { // a closed epoch outranks a later abort
+		case <-rel:
+		default:
+			return nil, ErrAborted
+		}
 	}
+	return snap, snap.err
 }
 
 // Run executes fn on every rank of the world and aggregates the outcome.
