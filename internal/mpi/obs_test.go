@@ -88,7 +88,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run `go test ./internal/mpi -run TestObsGolden -update` to create)", err)
+		t.Fatalf("%v (run `go test ./internal/mpi -run %s -update` to create)", err, t.Name())
 	}
 	if string(got) != string(want) {
 		t.Errorf("%s drifted from golden; run with -update if the change is intended.\ngot:\n%s", name, got)
