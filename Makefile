@@ -38,9 +38,9 @@ test:
 shuffle:
 	$(GO) test -shuffle=on -count=2 ./...
 
-# The mpi, cluster and simnet packages run ranks as goroutines; the race
-# detector is the check that the virtual-time synchronization is real
-# synchronization.
+# The mpi engine runs ranks as goroutines that pass one execution token over
+# channels, and cluster sweeps cells on a worker pool; the race detector is
+# the check that the token hand-off and the pool are real synchronization.
 race:
 	$(GO) test -race ./...
 
@@ -72,10 +72,9 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) . | $(GO) run ./cmd/pabench -o $(BENCHJSON)
 
 # Scaling harness (BenchmarkScale): FT and CG swept past the paper's 16
-# nodes — per engine, N up to 1024, base and top gears — writing the
-# scaling artifact $(BENCH2JSON) next to the reproduction's $(BENCHJSON).
-# The simulated seconds/joules in the rows are engine-independent (the
-# equivalence contract); ns/op is what the event engine buys.
+# nodes — N up to 1024, base and top gears — writing the scaling artifact
+# $(BENCH2JSON) next to the reproduction's $(BENCHJSON). The rows carry the
+# model's simulated seconds/joules and ns/op, the cost of simulating them.
 bench-scale:
 	PASP_BENCH_SUITE=scale $(GO) test -run '^$$' -bench Scale -benchmem -benchtime $(BENCHTIME) . | \
 		PASP_BENCH_SUITE=scale $(GO) run ./cmd/pabench -o $(BENCH2JSON)
@@ -118,7 +117,7 @@ conformance-smoke:
 			-commlog comm_$$n.json -kernel ft >> $(CONFREPORT) \
 			|| { cat $(CONFREPORT); exit 1; }; \
 	done
-	@$(GO) run ./cmd/patrace -kernel ft -n 64 -f 600 -suite scale -engine event \
+	@$(GO) run ./cmd/patrace -kernel ft -n 64 -f 600 -suite scale \
 		-out /dev/null -commlog comm_64.json >/dev/null || exit 1; \
 	$(GO) run ./cmd/paverify -skeleton $(SKELJSON) \
 		-commlog comm_64.json -kernel ft >> $(CONFREPORT) \

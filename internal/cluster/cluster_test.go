@@ -174,22 +174,18 @@ func sweepBytes(t *testing.T, p Platform) string {
 // TestSweepGOMAXPROCSDeterminism pins the campaign worker pool's
 // scheduling independence: the same sweep must produce the same bytes with
 // the pool serialized (GOMAXPROCS=1), at a modest width and oversubscribed
-// (GOMAXPROCS=8 against 3 sweep units), on both engines and with the event
-// engine's record/replay frequency axis in play. Work distribution may
-// change; bytes may not.
+// (GOMAXPROCS=8 against 3 sweep units), with the record/replay frequency
+// axis in play. Work distribution may change; bytes may not.
 func TestSweepGOMAXPROCSDeterminism(t *testing.T) {
-	for _, eng := range []mpi.Engine{mpi.EngineGoroutine, mpi.EngineEvent} {
-		p := PentiumM()
-		p.Engine = eng
-		p.Faults = faults.Config{Seed: 11, LatencyJitterFrac: 0.5, DropProb: 0.05}
-		base := sweepBytes(t, p)
-		for _, procs := range []int{1, 2, 8} {
-			prev := runtime.GOMAXPROCS(procs)
-			got := sweepBytes(t, p)
-			runtime.GOMAXPROCS(prev)
-			if got != base {
-				t.Errorf("%s engine: sweep bytes changed under GOMAXPROCS=%d", eng, procs)
-			}
+	p := PentiumM()
+	p.Faults = faults.Config{Seed: 11, LatencyJitterFrac: 0.5, DropProb: 0.05}
+	base := sweepBytes(t, p)
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := sweepBytes(t, p)
+		runtime.GOMAXPROCS(prev)
+		if got != base {
+			t.Errorf("sweep bytes changed under GOMAXPROCS=%d", procs)
 		}
 	}
 }

@@ -40,19 +40,13 @@ func log2ceil(n int) int {
 // epoch: every reader copies or combines it before its own collective call
 // returns. Such a deposit is parked on the Ctx and reclaimed into the
 // buffer cache one epoch later — by the same argument that lets the
-// runtime rotate two snapshot containers (see runtime.sync), a rank
+// runtime rotate two snapshot containers (see runtime.arrive), a rank
 // returns from epoch k+1's synchronization only after every rank finished
 // reading epoch k, so the parked buffers provably have no readers left.
 // Gather and Scatter hand deposit slices to their callers and must pass
 // recycle = false.
 func (c *Ctx) collective(payload any, op Op, cost float64, recycle bool) (*collSnapshot, error) {
-	var snap *collSnapshot
-	var err error
-	if c.ev != nil {
-		snap, err = c.ev.eng.deposit(c, payload, op)
-	} else {
-		snap, err = c.rt.sync(c.rank, c.clock, payload, op)
-	}
+	snap, err := c.ev.eng.deposit(c, payload, op)
 	if err != nil {
 		return nil, err
 	}

@@ -19,9 +19,8 @@ type Ctx struct {
 	rt   *runtime
 	rank int
 
-	// ev is the rank's event-engine scheduling state; nil under the
-	// goroutine engine. Communication primitives branch on it to pick the
-	// blocking mechanism — all timing arithmetic is engine-independent.
+	// ev is the rank's scheduling state in the event engine: communication
+	// primitives park and wake through it (see engine.go).
 	ev *evRank
 
 	// rec is the rank's operation tape when the world carries a Recording;
@@ -69,9 +68,9 @@ type Ctx struct {
 
 	// bufCache recycles payload buffers between Free calls and later
 	// snapshot copies. It is touched only from the rank's own goroutine;
-	// buffers migrate between ranks through the mailbox channels, whose
-	// send/receive pairs provide the ownership hand-off (and the
-	// happens-before edge the race detector checks).
+	// buffers migrate between ranks through the event engine's queues,
+	// and the execution-token hand-off between ranks provides the ownership
+	// transfer (and the happens-before edge the race detector checks).
 	bufCache [][]float64
 
 	// collFree / collFreeParts hold this rank's deposit from its previous
@@ -82,11 +81,6 @@ type Ctx struct {
 	// slices to callers, so theirs are never recycled.
 	collFree      []float64
 	collFreeParts [][]float64
-
-	// done is the rank's reusable rendezvous-completion channel. A sender
-	// has at most one rendezvous in flight, so one buffered slot suffices
-	// for the whole run instead of one channel per large message.
-	done chan float64
 
 	// ovFreq/ovBytes/ovSecs/ovValid memoize simnet.Config.CPUOverhead for
 	// the handful of distinct message sizes a kernel uses, keyed by the

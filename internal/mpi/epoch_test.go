@@ -8,8 +8,6 @@ import (
 	"testing"
 )
 
-var bothEngines = []Engine{EngineGoroutine, EngineEvent}
-
 // epochValues is rank r's Allreduce contribution for the bit-identity test.
 // Element 0 is ones then 1e16 on the last rank: in rank order the ones add
 // up exactly before meeting 1e16, in reverse order each one rounds away, so
@@ -29,18 +27,16 @@ func epochValues(r, n int) []float64 {
 
 // allreducePerRank runs one Allreduce epoch of op over contrib on every
 // rank and returns each rank's result.
-func allreducePerRank(t *testing.T, eng Engine, n int, op Op, contrib func(r int) []float64) [][]float64 {
+func allreducePerRank(t *testing.T, n int, op Op, contrib func(r int) []float64) [][]float64 {
 	t.Helper()
-	w := testWorld(n, 1400)
-	w.Engine = eng
 	got := make([][]float64, n)
-	_, err := Run(w, func(c *Ctx) error {
+	_, err := Run(testWorld(n, 1400), func(c *Ctx) error {
 		out, err := c.Allreduce(contrib(c.Rank()), op, 0)
 		got[c.Rank()] = out
 		return err
 	})
 	if err != nil {
-		t.Fatalf("%s n=%d: %v", eng, n, err)
+		t.Fatalf("n=%d: %v", n, err)
 	}
 	return got
 }
@@ -65,18 +61,16 @@ func TestAllreduceEpochMatchesSerialRankOrder(t *testing.T) {
 		if serialSum[0] == reverseSum[0] {
 			t.Fatalf("n=%d: test values are not order-sensitive (%g both ways)", n, serialSum[0])
 		}
-		for _, eng := range bothEngines {
-			sums := allreducePerRank(t, eng, n, Sum, func(r int) []float64 { return epochValues(r, n) })
-			maxes := allreducePerRank(t, eng, n, Max, func(r int) []float64 { return epochValues(r, n)[2:] })
-			for r := 0; r < n; r++ {
-				for i, want := range serialSum {
-					if math.Float64bits(sums[r][i]) != math.Float64bits(want) {
-						t.Fatalf("%s n=%d rank %d: sum[%d] = %.17g, want %.17g", eng, n, r, i, sums[r][i], want)
-					}
+		sums := allreducePerRank(t, n, Sum, func(r int) []float64 { return epochValues(r, n) })
+		maxes := allreducePerRank(t, n, Max, func(r int) []float64 { return epochValues(r, n)[2:] })
+		for r := 0; r < n; r++ {
+			for i, want := range serialSum {
+				if math.Float64bits(sums[r][i]) != math.Float64bits(want) {
+					t.Fatalf("n=%d rank %d: sum[%d] = %.17g, want %.17g", n, r, i, sums[r][i], want)
 				}
-				if len(maxes[r]) != 1 || maxes[r][0] != serialMax {
-					t.Fatalf("%s n=%d rank %d: max = %v, want %g", eng, n, r, maxes[r], serialMax)
-				}
+			}
+			if len(maxes[r]) != 1 || maxes[r][0] != serialMax {
+				t.Fatalf("n=%d rank %d: max = %v, want %g", n, r, maxes[r], serialMax)
 			}
 		}
 	}
@@ -88,39 +82,36 @@ func TestAllreduceEpochMatchesSerialRankOrder(t *testing.T) {
 // epochs, including the epoch that reuses the same snapshot container.
 func TestAllreduceResultIsPrivate(t *testing.T) {
 	for _, n := range []int{3, 64} {
-		for _, eng := range bothEngines {
-			w := testWorld(n, 600)
-			w.Engine = eng
-			tri := float64(n * (n - 1) / 2) // Σ rank
-			_, err := Run(w, func(c *Ctx) error {
-				var outs [3][]float64
-				for k := range outs {
-					out, err := c.Allreduce([]float64{float64(c.Rank() * (k + 1))}, Sum, 0)
-					if err != nil {
-						return err
-					}
-					outs[k] = out
-					if c.Rank() == k {
-						out[0] = -99 // scribble on this rank's own copy
-					}
-					if err := c.Barrier(); err != nil {
-						return err
-					}
+		w := testWorld(n, 600)
+		tri := float64(n * (n - 1) / 2) // Σ rank
+		_, err := Run(w, func(c *Ctx) error {
+			var outs [3][]float64
+			for k := range outs {
+				out, err := c.Allreduce([]float64{float64(c.Rank() * (k + 1))}, Sum, 0)
+				if err != nil {
+					return err
 				}
-				for k, out := range outs {
-					want := tri * float64(k+1)
-					if c.Rank() == k {
-						want = -99
-					}
-					if out[0] != want {
-						return fmt.Errorf("epoch %d result = %g, want %g", k, out[0], want)
-					}
+				outs[k] = out
+				if c.Rank() == k {
+					out[0] = -99 // scribble on this rank's own copy
 				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", eng, n, err)
+				if err := c.Barrier(); err != nil {
+					return err
+				}
 			}
+			for k, out := range outs {
+				want := tri * float64(k+1)
+				if c.Rank() == k {
+					want = -99
+				}
+				if out[0] != want {
+					return fmt.Errorf("epoch %d result = %g, want %g", k, out[0], want)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
 }
@@ -162,21 +153,18 @@ func TestReductionMismatchFailsEveryRank(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, n := range []int{2, 16} {
-			for _, eng := range bothEngines {
-				w := testWorld(n, 600)
-				w.Engine = eng
-				errs := make([]error, n)
-				_, err := Run(w, func(c *Ctx) error {
-					errs[c.Rank()] = tc.call(c)
-					return errs[c.Rank()]
-				})
-				if err == nil {
-					t.Fatalf("%s %s n=%d: mismatch accepted", tc.name, eng, n)
-				}
-				for r, e := range errs {
-					if e == nil || errors.Is(e, ErrAborted) || e.Error() != errs[0].Error() {
-						t.Fatalf("%s %s n=%d: rank %d returned %v, want rank 0's %v", tc.name, eng, n, r, e, errs[0])
-					}
+			w := testWorld(n, 600)
+			errs := make([]error, n)
+			_, err := Run(w, func(c *Ctx) error {
+				errs[c.Rank()] = tc.call(c)
+				return errs[c.Rank()]
+			})
+			if err == nil {
+				t.Fatalf("%s n=%d: mismatch accepted", tc.name, n)
+			}
+			for r, e := range errs {
+				if e == nil || errors.Is(e, ErrAborted) || e.Error() != errs[0].Error() {
+					t.Fatalf("%s n=%d: rank %d returned %v, want rank 0's %v", tc.name, n, r, e, errs[0])
 				}
 			}
 		}
@@ -192,7 +180,6 @@ func BenchmarkAllreduceEpoch(b *testing.B) {
 	for _, n := range []int{16, 256, 1024} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			w := testWorld(n, 1400)
-			w.Engine = EngineEvent
 			var m0, m1 stdruntime.MemStats
 			_, err := Run(w, func(c *Ctx) error {
 				data := []float64{float64(c.Rank())}
