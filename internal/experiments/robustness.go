@@ -25,9 +25,9 @@ type RobustnessSpec struct {
 	// Kernel names the benchmark ("ft", "lu", ...); the clean fit uses its
 	// registered campaign grid.
 	Kernel string
-	// Ns are the processor counts measured under perturbation; each must be
-	// a point of the kernel's campaign grid so the clean-fitted SP model
-	// has an overhead term for it.
+	// Ns are the processor counts measured under perturbation, strictly
+	// ascending; each must be a point of the kernel's campaign grid so the
+	// clean-fitted SP model has an overhead term for it.
 	Ns []int
 	// Magnitudes are the perturbation scale factors applied to Faults via
 	// Config.Scale, ascending; conventionally starting at 0 (the control
@@ -44,6 +44,11 @@ func (r RobustnessSpec) Validate() error {
 	}
 	if len(r.Ns) == 0 {
 		return fmt.Errorf("experiments: robustness spec has no processor counts")
+	}
+	for i := 1; i < len(r.Ns); i++ {
+		if r.Ns[i] <= r.Ns[i-1] {
+			return fmt.Errorf("experiments: robustness processor counts not strictly ascending at %d", i)
+		}
 	}
 	if len(r.Magnitudes) == 0 {
 		return fmt.Errorf("experiments: robustness spec has no magnitudes")

@@ -21,6 +21,8 @@ func TestRobustnessSpecValidate(t *testing.T) {
 	bad := []RobustnessSpec{
 		{Ns: []int{2}, Magnitudes: []float64{1}, Faults: JitterOnlyFaults(1)},                         // no kernel
 		{Kernel: "ft", Magnitudes: []float64{1}, Faults: JitterOnlyFaults(1)},                         // no Ns
+		{Kernel: "ft", Ns: []int{4, 4}, Magnitudes: []float64{1}, Faults: JitterOnlyFaults(1)},        // duplicate Ns
+		{Kernel: "ft", Ns: []int{4, 2}, Magnitudes: []float64{1}, Faults: JitterOnlyFaults(1)},        // descending Ns
 		{Kernel: "ft", Ns: []int{2}, Faults: JitterOnlyFaults(1)},                                     // no magnitudes
 		{Kernel: "ft", Ns: []int{2}, Magnitudes: []float64{1, 0.5}, Faults: JitterOnlyFaults(1)},      // descending
 		{Kernel: "ft", Ns: []int{2}, Magnitudes: []float64{0, 1}, Faults: faults.Config{}},            // injects nothing

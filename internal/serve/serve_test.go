@@ -375,6 +375,11 @@ func TestTraceEndpointServesValidPerfetto(t *testing.T) {
 
 func TestRobustnessEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Suite: experiments.Quick()})
+	mags := make([]string, maxRobustnessMagnitudes+1)
+	for i := range mags {
+		mags[i] = strconv.Itoa(i)
+	}
+	manyMagnitudes := strings.Join(mags, ",")
 	code, body := post(t, ts, "/robustness",
 		`{"kernel":"ft","ns":[2,4],"magnitudes":[0,1],"seed":7}`)
 	if code != http.StatusOK {
@@ -400,6 +405,8 @@ func TestRobustnessEndpoint(t *testing.T) {
 		{"no magnitudes", `{"kernel":"ft","ns":[2]}`, http.StatusBadRequest},
 		{"bad chaos", `{"kernel":"ft","ns":[2],"magnitudes":[0,1],"chaos":"zap=1"}`, http.StatusBadRequest},
 		{"unknown kernel", `{"kernel":"zz","ns":[2],"magnitudes":[0,1]}`, http.StatusNotFound},
+		{"duplicate ns", `{"kernel":"ft","ns":[2,2],"magnitudes":[0,1]}`, http.StatusBadRequest},
+		{"too many magnitudes", `{"kernel":"ft","ns":[2],"magnitudes":[` + manyMagnitudes + `]}`, http.StatusBadRequest},
 	} {
 		if code, body := post(t, ts, "/robustness", tc.body); code != tc.want {
 			t.Fatalf("%s: %d (%s), want %d", tc.name, code, body, tc.want)
