@@ -125,7 +125,10 @@ conformance-smoke:
 	cat $(CONFREPORT)
 
 # Short fuzz pass over the core model contract (finite, non-negative,
-# error-or-value) and the chaos harness's injector/parser invariants.
+# error-or-value), the chaos harness's injector/parser invariants, the
+# serve request decoders, and the trace exporter's contracts: the
+# single-pass validator never accepts what the encoding/json oracle
+# rejects, and the fixed-precision formatter matches strconv byte for byte.
 # CI-sized via FUZZTIME=10s; crank FUZZTIME locally for a deeper run.
 fuzz:
 	$(GO) test -fuzz=FuzzTermsTime -fuzztime=$(FUZZTIME) ./internal/core/
@@ -134,6 +137,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/faults/
 	$(GO) test -fuzz=FuzzPredictRequest -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzParseGear -fuzztime=$(FUZZTIME) ./internal/serve/
+	$(GO) test -fuzz=FuzzValidateChromeTrace -fuzztime=$(FUZZTIME) ./internal/obs/
+	$(GO) test -fuzz=FuzzAppendFixed -fuzztime=$(FUZZTIME) ./internal/obs/
 
 # Serving smoke: start paserve on the quick suite with FT pre-warmed and
 # full telemetry on (wide events to $(SERVEEVENTS), serve spans to

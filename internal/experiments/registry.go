@@ -34,19 +34,19 @@ type Kernel struct {
 func (s Suite) Kernels() map[string]Kernel {
 	return map[string]Kernel{
 		"ep": {Name: "ep", Run: s.RunEP, Grid: s.Grid, Measure: s.MeasureEP,
-			Peek: func() (*Campaign, bool) { return s.peekCached("EP", s.EP, s.Grid) }},
+			Peek: s.peeker("EP", s.EP, s.Grid)},
 		"ft": {Name: "ft", Run: s.RunFT, Grid: s.Grid, Measure: s.MeasureFT,
-			Peek: func() (*Campaign, bool) { return s.peekCached("FT", s.FT, s.Grid) }},
+			Peek: s.peeker("FT", s.FT, s.Grid)},
 		"lu": {Name: "lu", Run: s.RunLU, Grid: s.LUGrid, Measure: s.MeasureLU,
-			Peek: func() (*Campaign, bool) { return s.peekCached("LU", s.LU, s.LUGrid) }},
+			Peek: s.peeker("LU", s.LU, s.LUGrid)},
 		"cg": {Name: "cg", Run: s.RunCG, Grid: s.Grid, Measure: s.MeasureCG,
-			Peek: func() (*Campaign, bool) { return s.peekCached("CG", s.CG, s.Grid) }},
+			Peek: s.peeker("CG", s.CG, s.Grid)},
 		"mg": {Name: "mg", Run: s.RunMG, Grid: s.Grid, Measure: s.MeasureMG,
-			Peek: func() (*Campaign, bool) { return s.peekCached("MG", s.MG, s.Grid) }},
+			Peek: s.peeker("MG", s.MG, s.Grid)},
 		"is": {Name: "is", Run: s.RunIS, Grid: s.Grid, Measure: s.MeasureIS,
-			Peek: func() (*Campaign, bool) { return s.peekCached("IS", s.IS, s.Grid) }},
+			Peek: s.peeker("IS", s.IS, s.Grid)},
 		"sp": {Name: "sp", Run: s.RunSP, Grid: s.Grid, Measure: s.MeasureSP,
-			Peek: func() (*Campaign, bool) { return s.peekCached("SP", s.SP, s.Grid) }},
+			Peek: s.peeker("SP", s.SP, s.Grid)},
 	}
 }
 

@@ -129,11 +129,28 @@ func (s Suite) measureCached(ctx context.Context, kernel string, params any, g c
 	})
 }
 
+// peeker returns the Peek of one registered kernel. Rendering the store
+// key (the whole Platform through %+v) is most of a cache hit's cost, so
+// the key is rendered at the first call and kept: a Kernel that is never
+// peeked never pays for it, and one a server peeks on every request pays
+// once. Caching is sound because the key is a pure function of content no
+// non-test code mutates in place; Suite copies share their Platform's
+// slices, so in-place writes to them would be wrong with or without it.
+func (s Suite) peeker(kernel string, params any, g cluster.Grid) func() (*Campaign, bool) {
+	var (
+		once sync.Once
+		key  campaignKey
+	)
+	return func() (*Campaign, bool) {
+		once.Do(func() { key = storeKey(kernel, params, g, s.Platform) })
+		return peekCached(key)
+	}
+}
+
 // peekCached reports the memoized campaign for the key if — and only if —
 // its measurement has already completed. It never joins or starts a flight,
 // so servers can answer cache hits without consuming an admission slot.
-func (s Suite) peekCached(kernel string, params any, g cluster.Grid) (*Campaign, bool) {
-	key := storeKey(kernel, params, g, s.Platform)
+func peekCached(key campaignKey) (*Campaign, bool) {
 	campaignStore.mu.Lock()
 	e, ok := campaignStore.m[key]
 	campaignStore.mu.Unlock()

@@ -94,6 +94,66 @@ func TestStoreKeysOnPlatformContent(t *testing.T) {
 	}
 }
 
+// TestPeekHitsAfterMeasure proves every kernel's Peek finds the campaign
+// its Measure stored, both through the Kernel value that measured it (whose
+// key is then already rendered) and through a freshly built one.
+func TestPeekHitsAfterMeasure(t *testing.T) {
+	s := Quick()
+	ks := s.Kernels()
+	for _, name := range s.KernelNames() {
+		k := ks[name]
+		if _, ok := k.Peek(); ok {
+			// Measured by an earlier test: the store is process-wide.
+			t.Logf("%s already measured", name)
+		}
+		camp, err := k.Measure(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, peek := range []func() (*Campaign, bool){k.Peek, k.Peek, s.Kernels()[name].Peek} {
+			if got, ok := peek(); !ok || got != camp {
+				t.Errorf("%s: peek %d = (%p, %v), want the measured campaign %p", name, i, got, ok, camp)
+			}
+		}
+	}
+}
+
+// peekTrial gives each TestPeekKeysOnPlatformContent invocation a platform
+// variant of its own, for the same -count=2 reason as storeKeyTrial; the
+// offset keeps it disjoint from the other trials' variants.
+var peekTrial float64
+
+// TestPeekKeysOnPlatformContent proves a Suite copy with a changed Platform
+// field never peeks the stock campaign, before or after the variant is
+// measured, and that peeking the variant leaves the stock peek intact.
+func TestPeekKeysOnPlatformContent(t *testing.T) {
+	s := Quick()
+	stock, err := s.MeasureFT(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peekTrial++
+	variant := s
+	variant.Platform.Prof.Base = s.Platform.Prof.Base + 1000 + peekTrial
+	vk := variant.Kernels()["ft"]
+	if got, ok := vk.Peek(); ok {
+		t.Fatalf("variant peeked a campaign (%p, stock %p) before measuring", got, stock)
+	}
+	if got, ok := s.Kernels()["ft"].Peek(); !ok || got != stock {
+		t.Fatalf("stock peek after the variant's = (%p, %v), want %p", got, ok, stock)
+	}
+	vc, err := vk.Measure(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vc == stock {
+		t.Fatal("variant measured the stock campaign")
+	}
+	if got, ok := vk.Peek(); !ok || got != vc {
+		t.Errorf("variant peek after measuring = (%p, %v), want its own campaign %p", got, ok, vc)
+	}
+}
+
 // TestMergeCampaigns proves the ExtrapolateLU fast path assembles exactly
 // the campaign a single extended-grid sweep would have produced.
 func TestMergeCampaigns(t *testing.T) {

@@ -43,8 +43,8 @@ func log2ceil(n int) int {
 // runtime rotate two snapshot containers (see runtime.arrive), a rank
 // returns from epoch k+1's synchronization only after every rank finished
 // reading epoch k, so the parked buffers provably have no readers left.
-// Gather and Scatter hand deposit slices to their callers and must pass
-// recycle = false.
+// Gather, Scatter and Alltoall hand deposit slices to their callers and
+// must pass recycle = false.
 func (c *Ctx) collective(payload any, op Op, cost float64, recycle bool) (*collSnapshot, error) {
 	snap, err := c.ev.eng.deposit(c, payload, op)
 	if err != nil {
@@ -270,15 +270,16 @@ func (c *Ctx) Alltoall(parts [][]float64, vbytesPerPair int) ([][]float64, error
 	net := &c.rt.w.Net
 	perRound := 2*c.cpuOverhead(b) + net.LatencySec + net.ContendedWireTime(b, n)
 	cost := float64(n-1) * perRound
-	// Deposit copies are private to the snapshot while the epoch is live;
-	// collective() parks them and returns them to this rank's buffer cache
-	// once the next epoch proves all readers are gone. The out-copies below
-	// are exclusively caller-owned from the moment they are made.
+	// Each deposit copy has exactly one reader: part d goes to rank d and to
+	// no one else. So the reader adopts the copy instead of copying it
+	// again, every part is moved once, and the deposit is not recycled
+	// (recycle = false): ownership passes to the reader, whose caller may
+	// Free it into the reader's buffer cache.
 	deposit := make([][]float64, n)
 	for d := range parts {
 		deposit[d] = c.snapshotPayload(parts[d])
 	}
-	snap, err := c.collective(deposit, noReduce, cost, true)
+	snap, err := c.collective(deposit, noReduce, cost, false)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +292,7 @@ func (c *Ctx) Alltoall(parts [][]float64, vbytesPerPair int) ([][]float64, error
 		if len(sp) != n {
 			return nil, fmt.Errorf("mpi: alltoall rank %d deposited %d parts", s, len(sp))
 		}
-		out[s] = c.snapshotPayload(sp[c.rank])
+		out[s] = sp[c.rank]
 	}
 	return out, nil
 }

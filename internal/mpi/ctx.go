@@ -116,11 +116,13 @@ func (c *Ctx) cpuOverhead(bytes int) float64 {
 	return o
 }
 
-// maxCachedBuffers bounds the per-rank buffer cache so a kernel that frees
-// many odd-sized buffers cannot pin unbounded memory. An Alltoall cycles n
-// deposit parts and n output copies through the cache, so 2×16 keeps the
-// transpose allocation-free only up to the platform's 16 ranks; past that
-// it allocates (FT's 256-rank scale cell: ~956k allocs per sweep).
+// maxCachedBuffers bounds the per-rank buffer cache, together with the
+// world size, so a kernel that frees many odd-sized buffers cannot pin
+// unbounded memory. An Alltoall draws its n deposit copies from the cache
+// and its caller frees the n blocks it received back into it, so the bound
+// is maxCachedBuffers + n: the transpose stays allocation-free at any
+// rank count, with room left for point-to-point and other collective
+// buffers.
 const maxCachedBuffers = 32
 
 // Free returns a payload buffer to the rank's buffer cache for reuse by a
@@ -133,10 +135,10 @@ const maxCachedBuffers = 32
 //
 //palint:hotpath
 func (c *Ctx) Free(buf []float64) {
-	if cap(buf) == 0 || len(c.bufCache) >= maxCachedBuffers {
+	if cap(buf) == 0 || len(c.bufCache) >= maxCachedBuffers+c.Size() {
 		return
 	}
-	c.bufCache = append(c.bufCache, buf) //palint:ignore hotalloc -- cache growth is bounded by maxCachedBuffers, then Free becomes a no-op
+	c.bufCache = append(c.bufCache, buf) //palint:ignore hotalloc -- cache growth is bounded by maxCachedBuffers plus the world size, then Free becomes a no-op
 }
 
 // snapshotPayload copies data into a caller-owned buffer, reusing a freed

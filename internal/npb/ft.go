@@ -353,11 +353,16 @@ func (s *ftState) transposeZY(a []complex128) ([]complex128, error) {
 	return out, nil
 }
 
-// packParts returns the reusable per-destination pack buffers. Reuse is safe
-// because Alltoall snapshots every part at deposit time.
+// packParts returns the reusable per-destination pack buffers, presized to
+// their known length (lz×ly points of Nx complex values, the same for both
+// transposes). Reuse is safe because Alltoall snapshots every part at
+// deposit time.
 func (s *ftState) packParts() [][]float64 {
 	if s.parts == nil {
 		s.parts = make([][]float64, s.n)
+		for d := range s.parts {
+			s.parts[d] = make([]float64, 0, 2*s.lz*s.ly*s.f.Nx)
+		}
 	}
 	return s.parts
 }

@@ -1,9 +1,9 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -22,7 +22,8 @@ var kindCname = [trace.NumKinds]string{
 	trace.Retry:   "terrible",
 }
 
-// jstr renders s as a JSON string literal.
+// jstr renders s as a JSON string literal through encoding/json, whose
+// HTML-safe escaping of <, > and & the exported bytes keep.
 func jstr(s string) string {
 	b, err := json.Marshal(s)
 	if err != nil {
@@ -33,11 +34,135 @@ func jstr(s string) string {
 	return string(b)
 }
 
-// micros renders a virtual-time quantity in microseconds with fixed
+// kindFrag holds the JSON every event of one kind shares, built once: the
+// tail of a complete event from "cat" up to the watts value, and the tail
+// of its instant marker from "name" to the closing brace.
+type kindFrag struct {
+	x, i string
+}
+
+var kindFrags = func() (f [trace.NumKinds]kindFrag) {
+	for k := range f {
+		f[k] = kindTail(trace.Kind(k))
+	}
+	return f
+}()
+
+// kindTail builds k's fragments; kinds outside the enum have no cname.
+func kindTail(k trace.Kind) kindFrag {
+	cname := ""
+	if k >= 0 && k < trace.NumKinds {
+		cname = kindCname[k]
+	}
+	name := jstr(k.String())
+	return kindFrag{
+		x: `,"cat":` + name + `,"cname":` + jstr(cname) + `,"args":{"watts":`,
+		i: `,"name":` + name + `,"s":"t"}`,
+	}
+}
+
+// Per-event byte estimates that presize the export buffer: the fixed JSON
+// of a complete event with typical numbers, an instant marker, and a span.
+// An undershoot only costs append growth; the bytes never depend on them.
+const (
+	xEventBytes    = 150
+	instantBytes   = 80
+	rankMetaBytes  = 160
+	spanEventBytes = 112
+	attrBytes      = 8
+)
+
+// chromeWriter appends trace-event JSON to one presized buffer. Each
+// distinct string is escaped once per export; the literal is cached.
+type chromeWriter struct {
+	b    []byte
+	lits map[string]string
+}
+
+// newChromeWriter starts a document of about size bytes with its
+// process_name metadata event.
+func newChromeWriter(size int, processName string) *chromeWriter {
+	w := &chromeWriter{b: make([]byte, 0, size), lits: map[string]string{}}
+	w.b = append(w.b, `{"displayTimeUnit":"ms","traceEvents":[`+"\n"+`{"ph":"M","pid":0,"name":"process_name","args":{"name":`...)
+	w.str(processName)
+	w.b = append(w.b, "}}"...)
+	return w
+}
+
+// str appends s as a JSON string literal.
+func (w *chromeWriter) str(s string) {
+	lit, ok := w.lits[s]
+	if !ok {
+		lit = jstr(s)
+		w.lits[s] = lit
+	}
+	w.b = append(w.b, lit...)
+}
+
+// micros appends a virtual-time quantity in microseconds with fixed
 // nanosecond resolution, the precision of the simulator's virtual clock
 // printouts (TimelineCSV uses %.9f seconds — the same granularity).
-func micros(sec float64) string {
-	return strconv.FormatFloat(units.Seconds(sec).Micros(), 'f', 3, 64)
+func (w *chromeWriter) micros(sec float64) {
+	w.b = appendFixed(w.b, units.Seconds(sec).Micros(), 3)
+}
+
+// fixedScale is 10^prec for the precisions appendFixed handles.
+var fixedScale = [...]uint64{1, 10, 100, 1000}
+
+// appendFixed appends v exactly as strconv.AppendFloat(b, v, 'f', prec, 64)
+// does, for prec ≤ 3. strconv formats a fixed precision through its
+// arbitrary-precision decimal path; here the rounding is done in integers
+// instead. A finite v below 2^52 in magnitude is mant × 2^e with e < 0, so
+// v × 10^prec rounded to an integer is (mant × 10^prec) >> −e, rounded
+// half to even on the exact remainder — the rounding strconv applies —
+// and mant × 10^prec < 2^63 cannot overflow. Other values (non-finite,
+// or 2^52 and beyond) go to strconv. TestAppendFixedMatchesStrconv and
+// FuzzAppendFixed hold the two to byte equality.
+func appendFixed(b []byte, v float64, prec int) []byte {
+	bits := math.Float64bits(v)
+	biased := int(bits>>52) & 0x7ff
+	mant := bits & (1<<52 - 1)
+	if biased == 0 {
+		biased = 1 // subnormal: no implicit bit
+	} else {
+		mant |= 1 << 52
+	}
+	shift := 1075 - biased // v = ±mant × 2^-shift
+	if biased == 0x7ff || shift <= 0 {
+		return strconv.AppendFloat(b, v, 'f', prec, 64)
+	}
+	scale := fixedScale[prec]
+	var q uint64
+	if shift < 64 {
+		x := mant * scale
+		q = x >> shift
+		rem, half := x&(1<<shift-1), uint64(1)<<(shift-1)
+		if rem > half || rem == half && q&1 == 1 {
+			q++
+		}
+	}
+	if bits>>63 != 0 {
+		b = append(b, '-')
+	}
+	b = strconv.AppendUint(b, q/scale, 10)
+	if prec == 0 {
+		return b
+	}
+	b = append(b, '.')
+	frac := q % scale
+	for d := scale / 10; d > 0; d /= 10 {
+		b = append(b, byte('0'+frac/d%10))
+	}
+	return b
+}
+
+func (w *chromeWriter) int(v int) {
+	w.b = strconv.AppendInt(w.b, int64(v), 10)
+}
+
+// finish closes the document and returns its bytes.
+func (w *chromeWriter) finish() []byte {
+	return append(w.b, "\n]}\n"...)
 }
 
 // ChromeTrace renders the merged trace log as Chrome trace-event JSON —
@@ -45,67 +170,103 @@ func micros(sec float64) string {
 // per rank, one complete ("X") event per trace interval colored by kind,
 // and one instant ("i") event at the start of every injected fault or
 // retry so chaos shows up as markers even when the interval is too thin to
-// see. The bytes are built manually in a fixed order, so identical logs
-// produce identical files.
+// see. The bytes are appended in a fixed order into one presized buffer,
+// so identical logs produce identical files.
 func ChromeTrace(l *trace.Log, processName string) []byte {
 	events := l.Events()
-	ranks := map[int]bool{}
-	for _, e := range events {
-		ranks[e.Rank] = true
-	}
-	order := make([]int, 0, len(ranks))
-	for r := range ranks {
-		order = append(order, r)
+	var order []int
+	size := 128 + len(processName)
+	for i, e := range events {
+		if i == 0 || e.Rank != events[i-1].Rank {
+			order = append(order, e.Rank)
+		}
+		size += xEventBytes + len(e.Phase)
+		if e.Kind == trace.Fault || e.Kind == trace.Retry {
+			size += instantBytes
+		}
 	}
 	sort.Ints(order)
+	order = slices.Compact(order)
+	size += rankMetaBytes * len(order)
 
-	var b bytes.Buffer
-	b.WriteString(`{"displayTimeUnit":"ms","traceEvents":[` + "\n")
-	fmt.Fprintf(&b, `{"ph":"M","pid":0,"name":"process_name","args":{"name":%s}}`, jstr(processName))
+	w := newChromeWriter(size, processName)
 	for _, r := range order {
-		fmt.Fprintf(&b, ",\n{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"rank %d\"}}", r, r)
-		fmt.Fprintf(&b, ",\n{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_sort_index\",\"args\":{\"sort_index\":%d}}", r, r)
+		w.b = append(w.b, ",\n"+`{"ph":"M","pid":0,"tid":`...)
+		w.int(r)
+		w.b = append(w.b, `,"name":"thread_name","args":{"name":"rank `...)
+		w.int(r)
+		w.b = append(w.b, `"}}`+",\n"+`{"ph":"M","pid":0,"tid":`...)
+		w.int(r)
+		w.b = append(w.b, `,"name":"thread_sort_index","args":{"sort_index":`...)
+		w.int(r)
+		w.b = append(w.b, "}}"...)
 	}
 	for _, e := range events {
-		cname := ""
+		var frag kindFrag
 		if e.Kind >= 0 && e.Kind < trace.NumKinds {
-			cname = kindCname[e.Kind]
+			frag = kindFrags[e.Kind]
+		} else {
+			frag = kindTail(e.Kind)
 		}
-		fmt.Fprintf(&b, ",\n{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":%s,\"cat\":%s,\"cname\":%s,\"args\":{\"watts\":%.2f}}",
-			e.Rank, micros(e.Start), micros(e.End-e.Start), jstr(e.Phase), jstr(e.Kind.String()), jstr(cname), e.Watts)
+		w.b = append(w.b, ",\n"+`{"ph":"X","pid":0,"tid":`...)
+		w.int(e.Rank)
+		w.b = append(w.b, `,"ts":`...)
+		w.micros(e.Start)
+		w.b = append(w.b, `,"dur":`...)
+		w.micros(e.End - e.Start)
+		w.b = append(w.b, `,"name":`...)
+		w.str(e.Phase)
+		w.b = append(w.b, frag.x...)
+		w.b = appendFixed(w.b, e.Watts, 2)
+		w.b = append(w.b, "}}"...)
 		if e.Kind == trace.Fault || e.Kind == trace.Retry {
-			fmt.Fprintf(&b, ",\n{\"ph\":\"i\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"name\":%s,\"s\":\"t\"}",
-				e.Rank, micros(e.Start), jstr(e.Kind.String()))
+			w.b = append(w.b, ",\n"+`{"ph":"i","pid":0,"tid":`...)
+			w.int(e.Rank)
+			w.b = append(w.b, `,"ts":`...)
+			w.micros(e.Start)
+			w.b = append(w.b, frag.i...)
 		}
 	}
-	b.WriteString("\n]}\n")
-	return b.Bytes()
+	return w.finish()
 }
 
 // SpansChromeTrace renders a span hierarchy (campaign and run spans) as
 // trace-event JSON. Rank-owned spans land on the rank's track; campaign
 // and run spans land on track 0 so nesting shows as stacked slices.
 func SpansChromeTrace(spans []Span, processName string) []byte {
-	var b bytes.Buffer
-	b.WriteString(`{"displayTimeUnit":"ms","traceEvents":[` + "\n")
-	fmt.Fprintf(&b, `{"ph":"M","pid":0,"name":"process_name","args":{"name":%s}}`, jstr(processName))
+	size := 128 + len(processName)
+	for _, s := range spans {
+		size += spanEventBytes + len(s.Name)
+		for _, a := range s.Attrs {
+			size += attrBytes + len(a.Key) + len(a.Value)
+		}
+	}
+	w := newChromeWriter(size, processName)
 	for _, s := range spans {
 		tid := 0
 		if s.Rank >= 0 {
 			tid = s.Rank + 1
 		}
-		fmt.Fprintf(&b, ",\n{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":%s,\"cat\":\"span\",\"args\":{",
-			tid, micros(s.Start), micros(s.End-s.Start), jstr(s.Name))
+		w.b = append(w.b, ",\n"+`{"ph":"X","pid":0,"tid":`...)
+		w.int(tid)
+		w.b = append(w.b, `,"ts":`...)
+		w.micros(s.Start)
+		w.b = append(w.b, `,"dur":`...)
+		w.micros(s.End - s.Start)
+		w.b = append(w.b, `,"name":`...)
+		w.str(s.Name)
+		w.b = append(w.b, `,"cat":"span","args":{`...)
 		for i, a := range s.Attrs {
 			if i > 0 {
-				b.WriteString(",")
+				w.b = append(w.b, ',')
 			}
-			fmt.Fprintf(&b, "%s:%s", jstr(a.Key), jstr(a.Value))
+			w.str(a.Key)
+			w.b = append(w.b, ':')
+			w.str(a.Value)
 		}
-		b.WriteString("}}")
+		w.b = append(w.b, "}}"...)
 	}
-	b.WriteString("\n]}\n")
-	return b.Bytes()
+	return w.finish()
 }
 
 // NestSpans rebases spans recorded on a different clock than their parent
@@ -144,78 +305,4 @@ func NestSpans(spans []Span) []Span {
 		out[i].End += shift[i]
 	}
 	return out
-}
-
-// chromeEvent is the schema subset ValidateChromeTrace checks.
-type chromeEvent struct {
-	Ph   string          `json:"ph"`
-	Pid  *int            `json:"pid"`
-	Tid  *int            `json:"tid"`
-	Ts   *float64        `json:"ts"`
-	Dur  *float64        `json:"dur"`
-	Name string          `json:"name"`
-	Cat  string          `json:"cat"`
-	S    string          `json:"s"`
-	Args json.RawMessage `json:"args"`
-}
-
-// chromeFile is the top-level trace-event container.
-type chromeFile struct {
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-}
-
-// metadataNames are the "M" event names the exporters emit and the
-// trace-event format defines for process/thread labeling.
-var metadataNames = map[string]bool{
-	"process_name":       true,
-	"process_sort_index": true,
-	"thread_name":        true,
-	"thread_sort_index":  true,
-}
-
-// ValidateChromeTrace parses data as trace-event JSON and checks the
-// invariants Perfetto relies on: every event is a known phase type, "X"
-// events carry a name, timestamp and non-negative duration, instants are
-// thread-scoped, metadata names are from the defined set. It returns the
-// number of events, so smoke tests can assert non-emptiness.
-func ValidateChromeTrace(data []byte) (int, error) {
-	var f chromeFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return 0, fmt.Errorf("obs: trace JSON does not parse: %w", err)
-	}
-	if len(f.TraceEvents) == 0 {
-		return 0, fmt.Errorf("obs: trace has no events")
-	}
-	for i, e := range f.TraceEvents {
-		switch e.Ph {
-		case "M":
-			if !metadataNames[e.Name] {
-				return 0, fmt.Errorf("obs: event %d: unknown metadata name %q", i, e.Name)
-			}
-		case "X":
-			if e.Name == "" {
-				return 0, fmt.Errorf("obs: event %d: complete event without a name", i)
-			}
-			if e.Ts == nil || e.Dur == nil {
-				return 0, fmt.Errorf("obs: event %d: complete event missing ts/dur", i)
-			}
-			if *e.Dur < 0 {
-				return 0, fmt.Errorf("obs: event %d: negative duration %g", i, *e.Dur)
-			}
-			if e.Tid == nil {
-				return 0, fmt.Errorf("obs: event %d: complete event missing tid", i)
-			}
-		case "i":
-			if e.S != "t" {
-				return 0, fmt.Errorf("obs: event %d: instant with scope %q, want thread", i, e.S)
-			}
-			if e.Ts == nil || e.Tid == nil {
-				return 0, fmt.Errorf("obs: event %d: instant missing ts/tid", i)
-			}
-		default:
-			return 0, fmt.Errorf("obs: event %d: unknown phase type %q", i, e.Ph)
-		}
-	}
-	return len(f.TraceEvents), nil
 }

@@ -228,18 +228,21 @@ func TestSpansChromeTraceValidates(t *testing.T) {
 	}
 }
 
+// garbageTraces are documents ValidateChromeTrace must reject; they also
+// seed FuzzValidateChromeTrace.
+var garbageTraces = map[string]string{
+	"not json":      `{`,
+	"empty":         `{"traceEvents":[]}`,
+	"unknown phase": `{"traceEvents":[{"ph":"Q","name":"x"}]}`,
+	"nameless X":    `{"traceEvents":[{"ph":"X","ts":0,"dur":1,"tid":0}]}`,
+	"missing dur":   `{"traceEvents":[{"ph":"X","name":"x","ts":0,"tid":0}]}`,
+	"negative dur":  `{"traceEvents":[{"ph":"X","name":"x","ts":0,"dur":-1,"tid":0}]}`,
+	"process scope": `{"traceEvents":[{"ph":"i","name":"x","ts":0,"tid":0,"s":"p"}]}`,
+	"bad meta name": `{"traceEvents":[{"ph":"M","name":"bogus"}]}`,
+}
+
 func TestValidateChromeTraceRejectsGarbage(t *testing.T) {
-	cases := map[string]string{
-		"not json":      `{`,
-		"empty":         `{"traceEvents":[]}`,
-		"unknown phase": `{"traceEvents":[{"ph":"Q","name":"x"}]}`,
-		"nameless X":    `{"traceEvents":[{"ph":"X","ts":0,"dur":1,"tid":0}]}`,
-		"missing dur":   `{"traceEvents":[{"ph":"X","name":"x","ts":0,"tid":0}]}`,
-		"negative dur":  `{"traceEvents":[{"ph":"X","name":"x","ts":0,"dur":-1,"tid":0}]}`,
-		"process scope": `{"traceEvents":[{"ph":"i","name":"x","ts":0,"tid":0,"s":"p"}]}`,
-		"bad meta name": `{"traceEvents":[{"ph":"M","name":"bogus"}]}`,
-	}
-	for name, data := range cases {
+	for name, data := range garbageTraces {
 		if _, err := ValidateChromeTrace([]byte(data)); err == nil {
 			t.Errorf("%s: validated, want error", name)
 		}

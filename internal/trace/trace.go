@@ -134,14 +134,31 @@ func Merge(logs ...*Log) *Log {
 	for _, l := range logs {
 		out.events = append(out.events, l.events...)
 	}
-	sort.SliceStable(out.events, func(i, j int) bool {
-		a, b := out.events[i], out.events[j]
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		return a.Start < b.Start
-	})
+	if !ordered(out.events) {
+		sort.SliceStable(out.events, func(i, j int) bool {
+			a, b := out.events[i], out.events[j]
+			if a.Rank != b.Rank {
+				return a.Rank < b.Rank
+			}
+			return a.Start < b.Start
+		})
+	}
 	return out
+}
+
+// ordered reports whether events are already in (rank, start) order, so
+// Merge can skip the sort: the per-rank logs of a run concatenated in rank
+// order usually are. A stable sort leaves such a slice exactly as it is.
+// The test is strict about NaN starts: with one, the slice counts as
+// unordered and is sorted as before.
+func ordered(events []Event) bool {
+	for i := 1; i < len(events); i++ {
+		a, b := &events[i-1], &events[i]
+		if a.Rank > b.Rank || a.Rank == b.Rank && !(a.Start <= b.Start) {
+			return false
+		}
+	}
+	return true
 }
 
 // TotalByKind returns the summed duration of each kind across all ranks.

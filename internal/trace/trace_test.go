@@ -1,6 +1,10 @@
 package trace
 
 import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -58,6 +62,74 @@ func TestMergeOrdersByRankThenTime(t *testing.T) {
 	}
 	if ev[0].Rank != 0 || ev[0].Start != 0 || ev[1].Start != 5 || ev[2].Rank != 1 {
 		t.Errorf("merge order wrong: %+v", ev)
+	}
+}
+
+// TestMergeMatchesStableSort holds Merge's ordered fast path to the stable
+// sort it skips: on inputs already in (rank, start) order, with ties whose
+// phases tell the order apart, out of order, and with NaN starts.
+func TestMergeMatchesStableSort(t *testing.T) {
+	reference := func(logs ...*Log) []Event {
+		var all []Event
+		for _, l := range logs {
+			all = append(all, l.events...)
+		}
+		sort.SliceStable(all, func(i, j int) bool {
+			if all[i].Rank != all[j].Rank {
+				return all[i].Rank < all[j].Rank
+			}
+			return all[i].Start < all[j].Start
+		})
+		return all
+	}
+	check := func(trial int, logs ...*Log) {
+		t.Helper()
+		got, want := Merge(logs...).Events(), reference(logs...)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: merged %d events, want %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Rank != want[i].Rank || got[i].Phase != want[i].Phase ||
+				math.Float64bits(got[i].Start) != math.Float64bits(want[i].Start) {
+				t.Fatalf("trial %d: event %d = %+v, stable sort gives %+v", trial, i, got[i], want[i])
+			}
+		}
+	}
+	// No adjacent pair of these starts compares as out of order (a NaN
+	// sits between every descent), yet the stable sort moves them.
+	var nan Log
+	n := math.NaN()
+	for i, start := range []float64{n, 27, n, 30, 36, n, n, 3, 35, 48, n, 3, 29, n, n, n, 35, n, n, n, n, 19, 49} {
+		nan.Append(Event{Phase: fmt.Sprint(i), Start: start, End: start + 1})
+	}
+	check(-1, &nan)
+	rng := rand.New(rand.NewPCG(3, 4))
+	for trial := 0; trial < 200; trial++ {
+		logs := make([]*Log, 1+rng.IntN(4))
+		for r := range logs {
+			logs[r] = &Log{}
+			start := 0.0
+			for i := rng.IntN(40); i > 0; i-- {
+				switch trial % 4 {
+				case 1: // a backwards step somewhere
+					start += rng.Float64() - 0.3
+				case 2: // a NaN start now and then
+					if rng.IntN(10) == 0 {
+						start = math.NaN()
+					} else {
+						start = float64(rng.IntN(5))
+					}
+				default: // ordered, with equal starts
+					start += float64(rng.IntN(2))
+				}
+				rank := r
+				if trial%4 == 3 {
+					rank = rng.IntN(len(logs))
+				}
+				logs[r].Append(Event{Rank: rank, Phase: fmt.Sprint(i), Start: start, End: start + 1})
+			}
+		}
+		check(trial, logs...)
 	}
 }
 
